@@ -18,183 +18,277 @@
 //!   must offer *at least* the node's corrupted-small value — required for
 //!   Figure 5, where `C2` corrects `d.v9` from the corrupted 1 up to 3 in
 //!   one step.
+//!
+//! # Cost
+//!
+//! The minimality scans of `SP`, `SW`, `CW` and `PS` all range over the
+//! same *adoptable* neighbors (neither ghosted nor a child), so one minimum
+//! answers them all. These predicates are read off a [`Guards`] summary,
+//! built in one pass over the neighbors. Evaluating every guard of a node,
+//! including `S2(k)` for each neighbor `k`, therefore costs O(deg) mirror
+//! lookups rather than O(deg²).
 
-use lsrp_graph::{Distance, NodeId};
+use lsrp_graph::{Distance, NodeId, Weight};
 
-use crate::state::LsrpState;
+use crate::state::{LsrpState, Mirror};
 
-/// `SP.v` — `v` is a (potential) source of fault propagation:
-/// no neighbor outside a containment wave can offer `v` a distance no
-/// greater than its current one, and `v`'s value is locally unjustifiable
-/// (destination with `d != 0`, or non-destination with finite `d`
-/// inconsistent with its parent's offer).
-pub fn sp(s: &LsrpState) -> bool {
-    // The destination is special: its only legitimate value is 0, no
-    // neighbor can ever justify anything else, and it never adopts routes
-    // (`SW` is false at the destination). So any nonzero value makes it a
-    // source outright — this realizes footnote 4's "the destination node
-    // can stabilize p.d to d when d.d ≠ 0" via `SP → C1 → C2`. Keeping the
-    // generic neighbor-offer blocker here would let *garbage* finite
-    // offers pin a corrupted destination forever while the rest of the
-    // network counts upward waiting for it (a live oscillation, found by
-    // the self-stabilization property test).
-    if s.id == s.dest {
-        return s.d != Distance::ZERO;
-    }
-    // A neighbor only "offers" a distance when (a) that distance is
-    // finite — an infinite offer is the absence of a route — and (b) the
-    // neighbor is not a *child* of v: a child's distance derives from v's
-    // own (possibly corrupted) value, so it cannot justify it. The child
-    // exclusion realizes the paper's §IV-C intuition that "a node that can
-    // select one of its descendants as its new parent … becomes a source
-    // of fault propagation"; without it, a node whose child holds a
-    // corrupted-small value would adopt the child and close a loop.
-    let no_better = !s.neighbors.keys().any(|&k| {
-        let m = s.mirror(k);
-        let offer = s.offer(k);
-        !m.ghost && m.p != s.id && !offer.is_infinite() && offer <= s.d
-    });
-    let unjustified = s.d != Distance::Infinite && s.d != s.offer(s.p);
-    no_better && unjustified
-}
-
-/// `MP.v` — `v` is a *minimal point*: the destination at its legitimate
-/// value, or a node that has initiated a containment wave that has not
-/// finished.
-pub fn mp(s: &LsrpState) -> bool {
-    (s.id == s.dest && s.d == Distance::ZERO) || (s.ghost && sp(s))
-}
-
-/// `SW.v.k` — `v` should propagate a stabilization wave from neighbor `k`:
+/// The guards of one LSRP state, over a one-pass summary of its
+/// neighborhood.
 ///
-/// * `k` offers `v` a distance no greater than `v`'s current one, and no
-///   neighbor offers less than `k` does;
-/// * if `k` is not the current parent, switching must strictly improve on
-///   the parent's offer — unless the parent is gone or inside a
-///   containment wave;
-/// * if `k` *is* the current parent, `v`'s distance must disagree with the
-///   parent's offer (the consistency-repair case).
-///
-/// The `S2` guard additionally requires `!ghost.k.v` (checked by the
-/// caller building the enabled set), since the state of a node involved in
-/// a containment wave is presumed corrupted.
-pub fn sw(s: &LsrpState, k: NodeId) -> bool {
-    // The destination never routes toward itself through a neighbor: its
-    // only legitimate state is (d = 0, p = self), restored via SP → C1 →
-    // C2. Letting a corrupted destination adopt neighbor routes would
-    // thread transient loops through the root, violating Theorem 3.
-    if s.id == s.dest {
-        return false;
-    }
-    if !s.is_neighbor(k) {
-        return false;
-    }
-    // Never adopt a node that claims to be our child — its value derives
-    // from ours (same child exclusion as in `SP` and `PS`).
-    if s.mirror(k).p == s.id {
-        return false;
-    }
-    // A routeless node with *finite-valued* children still attached must
-    // wait for them to detach before re-acquiring a route: the new route
-    // could thread through its own stale subtree (invisible beyond one
-    // hop) and close a cycle of forwarding-capable nodes. The wait is
-    // bounded — such a child sees its parent offering ∞ against its own
-    // finite distance, is therefore inconsistent, and acts within one
-    // wave (escape via S2, or containment via C1/C2). Routeless children
-    // are exempt: they cannot forward packets (no cycle through them) and
-    // an ∞-child of an ∞-parent is consistent and may legitimately wait
-    // for *us* to re-acquire first. This is the same wait-for-your-subtree
-    // discipline C2's guard applies during shrink-back.
-    if s.d.is_infinite()
-        && s.neighbors.keys().any(|&i| {
-            let m = s.mirror(i);
-            m.p == s.id && !m.d.is_infinite()
-        })
-    {
-        return false;
-    }
-    let offer_k = s.offer(k);
-    // Adopting an infinite "route" is meaningless (and would let routeless
-    // nodes form parent cycles among themselves): a stabilization wave
-    // only ever propagates finite distance values.
-    if offer_k.is_infinite() || offer_k > s.d {
-        return false;
-    }
-    // Minimality over the *adoptable* neighbors: a ghosted neighbor's or a
-    // child's lower offer must not veto adopting the best usable route —
-    // otherwise a child holding a corrupted-small value leaves its parent
-    // inert with an unjustifiable distance forever.
-    if s.neighbors.keys().any(|&i| {
-        let m = s.mirror(i);
-        !m.ghost && m.p != s.id && s.offer(i) < offer_k
-    }) {
-        return false;
-    }
-    if k == s.p {
-        s.d != offer_k
-    } else {
-        let parent_unusable = !s.is_neighbor(s.p) || s.mirror(s.p).ghost;
-        parent_unusable || offer_k < s.offer(s.p)
-    }
+/// A neighbor `k` is *adoptable* when it is outside any containment wave
+/// and not a child of `v` (`¬ghost.k.v ∧ p.k.v ≠ v`). A child's distance
+/// derives from `v`'s own (possibly corrupted) value, so it cannot justify
+/// it; a ghosted neighbor's state is presumed corrupted. This realizes the
+/// paper's §IV-C intuition that "a node that can select one of its
+/// descendants as its new parent … becomes a source of fault propagation";
+/// without the child exclusion, a node whose child holds a corrupted-small
+/// value would adopt the child and close a loop.
+#[derive(Debug)]
+pub struct Guards<'a> {
+    s: &'a LsrpState,
+    /// The smallest offer among adoptable neighbors (`∞` if none).
+    min_adoptable: Distance,
+    /// Some child (`p.k.v = v`) has a finite distance.
+    finite_child: bool,
+    /// `s.mirror(s.p)` — looked up even when the parent is not a neighbor.
+    parent_mirror: Mirror,
+    /// The parent is a current neighbor.
+    parent_is_neighbor: bool,
+    /// `s.offer(s.p)`.
+    parent_offer: Distance,
 }
 
-/// `CW.v` — `v` should propagate a containment wave from its parent: the
-/// parent is a neighbor inside a containment wave, `v` has copied the
-/// parent's (corrupted) distance value, and no neighbor outside a
-/// containment wave offers strictly less than `v`'s current distance.
-pub fn cw(s: &LsrpState) -> bool {
-    s.is_neighbor(s.p)
-        && s.mirror(s.p).ghost
-        && s.d == s.offer(s.p)
-        && !s.neighbors.keys().any(|&k| {
+impl<'a> Guards<'a> {
+    /// Summarizes `s`'s neighborhood in one pass over its neighbors.
+    pub fn new(s: &'a LsrpState) -> Self {
+        let mut min_adoptable = Distance::Infinite;
+        let mut finite_child = false;
+        for (&k, &w) in &s.neighbors {
             let m = s.mirror(k);
-            !m.ghost && m.p != s.id && s.offer(k) < s.d
-        })
-}
+            if m.p == s.id {
+                finite_child |= !m.d.is_infinite();
+            } else if !m.ghost {
+                min_adoptable = min_adoptable.min(m.d.plus(w));
+            }
+        }
+        let parent_mirror = s.mirror(s.p);
+        let parent_weight = s.neighbors.get(&s.p);
+        Guards {
+            s,
+            min_adoptable,
+            finite_child,
+            parent_mirror,
+            parent_is_neighbor: parent_weight.is_some(),
+            parent_offer: parent_weight.map_or(Distance::Infinite, |&w| parent_mirror.d.plus(w)),
+        }
+    }
 
-/// `PS.v.k` — `k` is a *parent substitute* for `v` during `C2`: a neighbor
-/// outside any containment wave, not a child of `v`, offering at least
-/// `v`'s current (corrupted-small) distance, and minimal among such
-/// neighbors.
-pub fn ps(s: &LsrpState, k: NodeId) -> bool {
-    if !s.is_neighbor(k) {
-        return false;
+    /// The mirror of the current parent (`Mirror::unknown` if nothing
+    /// heard), as [`LsrpState::mirror`] reports it.
+    pub(crate) fn parent_mirror(&self) -> Mirror {
+        self.parent_mirror
     }
-    let mk = s.mirror(k);
-    if mk.ghost || mk.p == s.id {
-        return false;
-    }
-    // Known-grandchild exclusion: if k's mirrored parent is itself one of
-    // our children-by-mirror, adopting k would route straight back into
-    // our own subtree (one extra hop of locally-available knowledge beyond
-    // the paper's direct-child check — needed when corrupted containment
-    // flags trigger `C2` without the containment wave having detached the
-    // subtree first).
-    if s.neighbors.contains_key(&mk.p) && s.mirror(mk.p).p == s.id {
-        return false;
-    }
-    let offer_k = s.offer(k);
-    // An infinite offer is not a substitute — `C2` withdraws the route
-    // (`d, p := ∞, v`) instead, keeping the self-parent invariant for
-    // routeless nodes.
-    if offer_k.is_infinite() || offer_k < s.d {
-        return false;
-    }
-    // Minimality over non-ghost non-child neighbors (same rationale as in
-    // `sw`: unusable neighbors must not veto the best substitute).
-    !s.neighbors.keys().any(|&i| {
-        let m = s.mirror(i);
-        !m.ghost && m.p != s.id && s.offer(i) < offer_k
-    })
-}
 
-/// The best parent substitute (smallest offer, ties by id), if any.
-pub fn best_parent_substitute(s: &LsrpState) -> Option<NodeId> {
-    s.neighbors
-        .keys()
-        .copied()
-        .filter(|&k| ps(s, k))
-        .min_by_key(|&k| (s.offer(k), k))
+    /// `SP.v` — `v` is a (potential) source of fault propagation:
+    /// no adoptable neighbor can offer `v` a finite distance no greater
+    /// than its current one, and `v`'s value is locally unjustifiable
+    /// (destination with `d != 0`, or non-destination with finite `d`
+    /// inconsistent with its parent's offer).
+    pub fn sp(&self) -> bool {
+        let s = self.s;
+        // The destination is special: its only legitimate value is 0, no
+        // neighbor can ever justify anything else, and it never adopts
+        // routes (`SW` is false at the destination). So any nonzero value
+        // makes it a source outright — this realizes footnote 4's "the
+        // destination node can stabilize p.d to d when d.d ≠ 0" via
+        // `SP → C1 → C2`. Keeping the generic neighbor-offer blocker here
+        // would let *garbage* finite offers pin a corrupted destination
+        // forever while the rest of the network counts upward waiting for
+        // it (a live oscillation, found by the self-stabilization property
+        // test).
+        if s.id == s.dest {
+            return s.d != Distance::ZERO;
+        }
+        // An infinite offer is the absence of a route, so it never counts
+        // as "better".
+        let no_better = self.min_adoptable.is_infinite() || self.min_adoptable > s.d;
+        let unjustified = s.d != Distance::Infinite && s.d != self.parent_offer;
+        no_better && unjustified
+    }
+
+    /// `MP.v` — `v` is a *minimal point*: the destination at its legitimate
+    /// value, or a node that has initiated a containment wave that has not
+    /// finished.
+    pub fn mp(&self) -> bool {
+        let s = self.s;
+        (s.id == s.dest && s.d == Distance::ZERO) || (s.ghost && self.sp())
+    }
+
+    /// `SW.v.k` — `v` should propagate a stabilization wave from neighbor
+    /// `k`; false when `k` is not a neighbor.
+    pub fn sw(&self, k: NodeId) -> bool {
+        self.s
+            .neighbors
+            .get(&k)
+            .is_some_and(|&w| self.sw_at(k, w, self.s.mirror(k)))
+    }
+
+    /// `SW.v.k` for neighbor `k` with edge weight `w` and mirror `m`, in
+    /// O(1):
+    ///
+    /// * `k` offers `v` a distance no greater than `v`'s current one, and
+    ///   no adoptable neighbor offers less than `k` does;
+    /// * if `k` is not the current parent, switching must strictly improve
+    ///   on the parent's offer — unless the parent is gone or inside a
+    ///   containment wave;
+    /// * if `k` *is* the current parent, `v`'s distance must disagree with
+    ///   the parent's offer (the consistency-repair case).
+    ///
+    /// The `S2` guard additionally requires `!ghost.k.v` (see
+    /// [`Guards::s2_targets`]), since the state of a node involved in a
+    /// containment wave is presumed corrupted.
+    fn sw_at(&self, k: NodeId, w: Weight, m: Mirror) -> bool {
+        let s = self.s;
+        // The destination never routes toward itself through a neighbor:
+        // its only legitimate state is (d = 0, p = self), restored via
+        // SP → C1 → C2. Letting a corrupted destination adopt neighbor
+        // routes would thread transient loops through the root, violating
+        // Theorem 3.
+        if s.id == s.dest {
+            return false;
+        }
+        // Never adopt a node that claims to be our child — its value
+        // derives from ours.
+        if m.p == s.id {
+            return false;
+        }
+        // A routeless node with *finite-valued* children still attached
+        // must wait for them to detach before re-acquiring a route: the new
+        // route could thread through its own stale subtree (invisible
+        // beyond one hop) and close a cycle of forwarding-capable nodes.
+        // The wait is bounded — such a child sees its parent offering ∞
+        // against its own finite distance, is therefore inconsistent, and
+        // acts within one wave (escape via S2, or containment via C1/C2).
+        // Routeless children are exempt: they cannot forward packets (no
+        // cycle through them) and an ∞-child of an ∞-parent is consistent
+        // and may legitimately wait for *us* to re-acquire first. This is
+        // the same wait-for-your-subtree discipline C2's guard applies
+        // during shrink-back.
+        if s.d.is_infinite() && self.finite_child {
+            return false;
+        }
+        let offer_k = m.d.plus(w);
+        // Adopting an infinite "route" is meaningless (and would let
+        // routeless nodes form parent cycles among themselves): a
+        // stabilization wave only ever propagates finite distance values.
+        if offer_k.is_infinite() || offer_k > s.d {
+            return false;
+        }
+        // Minimality over the *adoptable* neighbors: a ghosted neighbor's
+        // or a child's lower offer must not veto adopting the best usable
+        // route — otherwise a child holding a corrupted-small value leaves
+        // its parent inert with an unjustifiable distance forever.
+        if self.min_adoptable < offer_k {
+            return false;
+        }
+        if k == s.p {
+            s.d != offer_k
+        } else {
+            let parent_usable = self.parent_is_neighbor && !self.parent_mirror.ghost;
+            !parent_usable || offer_k < self.parent_offer
+        }
+    }
+
+    /// The neighbors `k` with `S2(k)` enabled (`SW.v.k ∧ ¬ghost.k.v`),
+    /// ascending by id, each with its mirror.
+    pub fn s2_targets(&self) -> impl Iterator<Item = (NodeId, Mirror)> + '_ {
+        // A target is adoptable and minimal, so it offers exactly
+        // `min_adoptable`, which must then be finite and no greater than
+        // `d.v`: without that, no neighbor needs looking at.
+        let s = self.s;
+        let any = !self.min_adoptable.is_infinite() && self.min_adoptable <= s.d;
+        any.then_some(&s.neighbors)
+            .into_iter()
+            .flatten()
+            .filter_map(move |(&k, &w)| {
+                let m = s.mirror(k);
+                (!m.ghost && self.sw_at(k, w, m)).then_some((k, m))
+            })
+    }
+
+    /// `CW.v` — `v` should propagate a containment wave from its parent:
+    /// the parent is a neighbor inside a containment wave, `v` has copied
+    /// the parent's (corrupted) distance value, and no adoptable neighbor
+    /// offers strictly less than `v`'s current distance.
+    pub fn cw(&self) -> bool {
+        let s = self.s;
+        self.parent_is_neighbor
+            && self.parent_mirror.ghost
+            && s.d == self.parent_offer
+            && self.min_adoptable >= s.d
+    }
+
+    /// `PS.v.k` — `k` is a *parent substitute* for `v` during `C2`: an
+    /// adoptable neighbor that is not a known grandchild of `v`, offering
+    /// at least `v`'s current (corrupted-small) distance, and minimal among
+    /// adoptable neighbors.
+    pub fn ps(&self, k: NodeId) -> bool {
+        self.s
+            .neighbors
+            .get(&k)
+            .is_some_and(|&w| self.ps_at(w, self.s.mirror(k)))
+    }
+
+    /// `PS.v.k` for a neighbor with edge weight `w` and mirror `m`.
+    fn ps_at(&self, w: Weight, m: Mirror) -> bool {
+        let s = self.s;
+        if m.ghost || m.p == s.id {
+            return false;
+        }
+        let offer_k = m.d.plus(w);
+        // An infinite offer is not a substitute — `C2` withdraws the route
+        // (`d, p := ∞, v`) instead, keeping the self-parent invariant for
+        // routeless nodes. Minimality is over adoptable neighbors (same
+        // rationale as in `SW`: unusable neighbors must not veto the best
+        // substitute).
+        if offer_k.is_infinite() || offer_k < s.d || offer_k > self.min_adoptable {
+            return false;
+        }
+        // Known-grandchild exclusion: if k's mirrored parent is itself one
+        // of our children-by-mirror, adopting k would route straight back
+        // into our own subtree (one extra hop of locally-available
+        // knowledge beyond the paper's direct-child check — needed when
+        // corrupted containment flags trigger `C2` without the containment
+        // wave having detached the subtree first).
+        !(s.neighbors.contains_key(&m.p) && s.mirror(m.p).p == s.id)
+    }
+
+    /// The best parent substitute (smallest offer, ties by id), if any.
+    /// Every substitute offers exactly `min_adoptable`, so this is the
+    /// lowest-id one.
+    pub fn best_parent_substitute(&self) -> Option<NodeId> {
+        let s = self.s;
+        if self.min_adoptable.is_infinite() || self.min_adoptable < s.d {
+            return None;
+        }
+        s.neighbors
+            .iter()
+            .find(|&(&k, &w)| self.ps_at(w, s.mirror(k)))
+            .map(|(&k, _)| k)
+    }
+
+    /// `SCW.v` — `v` should initiate or propagate a super-containment wave:
+    /// the destination at its legitimate value, or a non-destination that
+    /// is no longer a source of fault propagation and whose parent (if
+    /// any) is not inside a containment wave.
+    pub fn scw(&self) -> bool {
+        let s = self.s;
+        if s.id == s.dest {
+            s.d == Distance::ZERO
+        } else {
+            !self.sp() && (s.p == s.id || !self.parent_mirror.ghost)
+        }
+    }
 }
 
 /// The guard of `C2`: `v` is in a containment wave and no neighbor's
@@ -208,18 +302,6 @@ pub fn c2_ready(s: &LsrpState) -> bool {
             let mk = s.mirror(k);
             mk.p == s.id && mk.d == s.d.plus(w)
         })
-}
-
-/// `SCW.v` — `v` should initiate or propagate a super-containment wave:
-/// the destination at its legitimate value, or a non-destination that is
-/// no longer a source of fault propagation and whose parent (if any) is
-/// not inside a containment wave.
-pub fn scw(s: &LsrpState) -> bool {
-    if s.id == s.dest {
-        s.d == Distance::ZERO
-    } else {
-        !sp(s) && (s.p == s.id || !s.mirror(s.p).ghost)
-    }
 }
 
 /// The neighbor a recovering containment-wave initiator re-adopts as its
@@ -238,11 +320,33 @@ pub fn recovery_parent(s: &LsrpState) -> Option<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{LsrpMsg, LsrpState};
+    use crate::state::LsrpMsg;
     use std::collections::BTreeMap;
 
     fn v(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    fn sp(s: &LsrpState) -> bool {
+        Guards::new(s).sp()
+    }
+    fn mp(s: &LsrpState) -> bool {
+        Guards::new(s).mp()
+    }
+    fn sw(s: &LsrpState, k: NodeId) -> bool {
+        Guards::new(s).sw(k)
+    }
+    fn cw(s: &LsrpState) -> bool {
+        Guards::new(s).cw()
+    }
+    fn ps(s: &LsrpState, k: NodeId) -> bool {
+        Guards::new(s).ps(k)
+    }
+    fn best_parent_substitute(s: &LsrpState) -> Option<NodeId> {
+        Guards::new(s).best_parent_substitute()
+    }
+    fn scw(s: &LsrpState) -> bool {
+        Guards::new(s).scw()
     }
 
     /// A node v0 with neighbors v1 (w=1) and v2 (w=1); destination v9.

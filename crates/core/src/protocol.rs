@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use lsrp_graph::{Distance, NodeId, RouteEntry, Weight};
 use lsrp_sim::{ActionId, Effects, EnabledSet, ForgedAdvert, HarnessProtocol, ProtocolNode};
 
-use crate::predicates;
+use crate::predicates::{self, Guards};
 use crate::state::{LsrpMsg, LsrpState, Mirror};
 use crate::timing::TimingConfig;
 
@@ -93,19 +93,26 @@ impl LsrpNode {
     }
 
     /// Hash of the values a guard witnesses: our own route variables plus
-    /// the mirrors of the given neighbors. Used as the guard fingerprint
+    /// the given `(neighbor, mirror)` pairs. Used as the guard fingerprint
     /// so holds restart when the witnessed information changes.
-    fn witness_fingerprint(&self, neighbors: &[lsrp_graph::NodeId]) -> u64 {
+    fn witness_fingerprint(&self, witnessed: impl IntoIterator<Item = (NodeId, Mirror)>) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.state.d.hash(&mut h);
         self.state.p.hash(&mut h);
         self.state.ghost.hash(&mut h);
-        for &k in neighbors {
+        for (k, m) in witnessed {
             k.hash(&mut h);
-            self.state.mirror(k).hash(&mut h);
+            m.hash(&mut h);
         }
         h.finish()
+    }
+
+    /// Every neighbor with its mirror, ascending by id: what `C2` and `SC`
+    /// witness.
+    fn all_mirrors(&self) -> impl Iterator<Item = (NodeId, Mirror)> + '_ {
+        let s = &self.state;
+        s.neighbors.keys().map(|&k| (k, s.mirror(k)))
     }
 }
 
@@ -119,12 +126,15 @@ impl ProtocolNode for LsrpNode {
     }
 
     // The guard logic lives in the buffer-filling variant: the engine
-    // re-evaluates guards after every event with a reusable buffer.
+    // re-evaluates guards after every event with a reusable buffer. The
+    // whole evaluation is O(deg): the minimality guards read one
+    // neighborhood summary (see `predicates::Guards`).
     fn enabled_actions_into(&self, now_local: f64, set: &mut EnabledSet) {
         let s = &self.state;
+        let g = Guards::new(s);
 
         // S1: MP.v ∧ p.v ≠ v, hold 0.
-        if predicates::mp(s) && s.p != s.id {
+        if g.mp() && s.p != s.id {
             set.enable(ActionId::plain(actions::S1), 0.0);
         }
 
@@ -132,18 +142,16 @@ impl ProtocolNode for LsrpNode {
         // The hold restarts if the values the adoption is based on — our
         // own route or the mirrors of k and of the current parent —
         // change mid-hold (see EnabledSet::fingerprints).
-        for &k in s.neighbors.keys() {
-            if !s.mirror(k).ghost && predicates::sw(s, k) {
-                set.enable_with_fingerprint(
-                    ActionId::with_param(actions::S2, k),
-                    self.timing.hd_s,
-                    self.witness_fingerprint(&[k, s.p]),
-                );
-            }
+        for (k, m) in g.s2_targets() {
+            set.enable_with_fingerprint(
+                ActionId::with_param(actions::S2, k),
+                self.timing.hd_s,
+                self.witness_fingerprint([(k, m), (s.p, g.parent_mirror())]),
+            );
         }
 
         // C1: ¬ghost.v ∧ (SP.v ∨ CW.v), hold hd_C.
-        if !s.ghost && (predicates::sp(s) || predicates::cw(s)) {
+        if !s.ghost && (g.sp() || g.cw()) {
             set.enable(ActionId::plain(actions::C1), self.timing.hd_c);
         }
 
@@ -152,22 +160,20 @@ impl ProtocolNode for LsrpNode {
         // the hold restarts on any witnessed-value change so the parent
         // substitute is chosen from settled information.
         if predicates::c2_ready(s) {
-            let ks: Vec<_> = s.neighbors.keys().copied().collect();
             set.enable_with_fingerprint(
                 ActionId::plain(actions::C2),
                 self.timing.hd_c2,
-                self.witness_fingerprint(&ks),
+                self.witness_fingerprint(self.all_mirrors()),
             );
         }
 
         // SC: ghost.v ∧ SCW.v, hold hd_SC (fingerprinted: the recovery
         // parent must be chosen from settled mirrors).
-        if s.ghost && predicates::scw(s) {
-            let ks: Vec<_> = s.neighbors.keys().copied().collect();
+        if s.ghost && g.scw() {
             set.enable_with_fingerprint(
                 ActionId::plain(actions::SC),
                 self.timing.hd_sc,
-                self.witness_fingerprint(&ks),
+                self.witness_fingerprint(self.all_mirrors()),
             );
         }
 
@@ -198,7 +204,7 @@ impl ProtocolNode for LsrpNode {
             }
             actions::C1 => {
                 self.set_ghost(true, fx);
-                if predicates::sp(&self.state) {
+                if Guards::new(&self.state).sp() {
                     let me = self.state.id;
                     self.set_p(me, fx);
                 }
@@ -210,7 +216,7 @@ impl ProtocolNode for LsrpNode {
                     let me = self.state.id;
                     self.set_d(Distance::ZERO, fx);
                     self.set_p(me, fx);
-                } else if let Some(k) = predicates::best_parent_substitute(&self.state) {
+                } else if let Some(k) = Guards::new(&self.state).best_parent_substitute() {
                     let d = self.state.offer(k);
                     self.set_d(d, fx);
                     self.set_p(k, fx);

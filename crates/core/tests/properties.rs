@@ -8,11 +8,19 @@
 //!   the computation (checked after every single event).
 //! * Theorem 4 (1-round loop breakage): starting with a corrupted-in loop,
 //!   the loop disappears within `O(hd_S + d)` time regardless of length.
+//! * The one-pass guard summary ([`Guards`]) decides every guard, and
+//!   `LsrpNode` enables every action with the same hold and fingerprint,
+//!   exactly as the literal per-neighbor definitions in [`oracle`] do, on
+//!   arbitrary (corrupted) states.
 
 use proptest::prelude::*;
 
-use lsrp_core::{InitialState, LsrpSimulation, LsrpSimulationExt, TimingConfig};
+use lsrp_core::predicates::Guards;
+use lsrp_core::{
+    InitialState, LsrpNode, LsrpSimulation, LsrpSimulationExt, LsrpState, Mirror, TimingConfig,
+};
 use lsrp_graph::{generators, Distance, NodeId};
+use lsrp_sim::ProtocolNode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -292,5 +300,280 @@ proptest! {
         let report = sim.run_to_quiescence(1_000_000.0);
         prop_assert!(report.quiescent);
         prop_assert!(sim.routes_correct());
+    }
+}
+
+/// The guard predicates and `LsrpNode::enabled_actions` spelled out
+/// literally from their prose definitions: every per-neighbor minimality
+/// test rescans all neighbors, O(deg²) per evaluation. Too slow for the
+/// engine, but each line reads directly against DESIGN.md, so it is the
+/// reference the one-pass [`Guards`] summary must agree with.
+mod oracle {
+    use std::hash::{Hash, Hasher};
+
+    use lsrp_core::{actions, LsrpState, TimingConfig};
+    use lsrp_graph::{Distance, NodeId};
+    use lsrp_sim::{ActionId, EnabledSet};
+
+    pub fn sp(s: &LsrpState) -> bool {
+        if s.id == s.dest {
+            return s.d != Distance::ZERO;
+        }
+        let no_better = !s.neighbors.keys().any(|&k| {
+            let m = s.mirror(k);
+            let offer = s.offer(k);
+            !m.ghost && m.p != s.id && !offer.is_infinite() && offer <= s.d
+        });
+        let unjustified = s.d != Distance::Infinite && s.d != s.offer(s.p);
+        no_better && unjustified
+    }
+
+    pub fn mp(s: &LsrpState) -> bool {
+        (s.id == s.dest && s.d == Distance::ZERO) || (s.ghost && sp(s))
+    }
+
+    pub fn sw(s: &LsrpState, k: NodeId) -> bool {
+        if s.id == s.dest || !s.is_neighbor(k) || s.mirror(k).p == s.id {
+            return false;
+        }
+        if s.d.is_infinite()
+            && s.neighbors.keys().any(|&i| {
+                let m = s.mirror(i);
+                m.p == s.id && !m.d.is_infinite()
+            })
+        {
+            return false;
+        }
+        let offer_k = s.offer(k);
+        if offer_k.is_infinite() || offer_k > s.d {
+            return false;
+        }
+        if s.neighbors.keys().any(|&i| {
+            let m = s.mirror(i);
+            !m.ghost && m.p != s.id && s.offer(i) < offer_k
+        }) {
+            return false;
+        }
+        if k == s.p {
+            s.d != offer_k
+        } else {
+            let parent_unusable = !s.is_neighbor(s.p) || s.mirror(s.p).ghost;
+            parent_unusable || offer_k < s.offer(s.p)
+        }
+    }
+
+    pub fn cw(s: &LsrpState) -> bool {
+        s.is_neighbor(s.p)
+            && s.mirror(s.p).ghost
+            && s.d == s.offer(s.p)
+            && !s.neighbors.keys().any(|&k| {
+                let m = s.mirror(k);
+                !m.ghost && m.p != s.id && s.offer(k) < s.d
+            })
+    }
+
+    pub fn ps(s: &LsrpState, k: NodeId) -> bool {
+        if !s.is_neighbor(k) {
+            return false;
+        }
+        let mk = s.mirror(k);
+        if mk.ghost || mk.p == s.id {
+            return false;
+        }
+        if s.neighbors.contains_key(&mk.p) && s.mirror(mk.p).p == s.id {
+            return false;
+        }
+        let offer_k = s.offer(k);
+        if offer_k.is_infinite() || offer_k < s.d {
+            return false;
+        }
+        !s.neighbors.keys().any(|&i| {
+            let m = s.mirror(i);
+            !m.ghost && m.p != s.id && s.offer(i) < offer_k
+        })
+    }
+
+    pub fn best_parent_substitute(s: &LsrpState) -> Option<NodeId> {
+        s.neighbors
+            .keys()
+            .copied()
+            .filter(|&k| ps(s, k))
+            .min_by_key(|&k| (s.offer(k), k))
+    }
+
+    pub fn scw(s: &LsrpState) -> bool {
+        if s.id == s.dest {
+            s.d == Distance::ZERO
+        } else {
+            !sp(s) && (s.p == s.id || !s.mirror(s.p).ghost)
+        }
+    }
+
+    /// The neighbors with `S2(k)` enabled, ascending.
+    pub fn s2_set(s: &LsrpState) -> Vec<NodeId> {
+        s.neighbors
+            .keys()
+            .copied()
+            .filter(|&k| !s.mirror(k).ghost && sw(s, k))
+            .collect()
+    }
+
+    fn witness_fingerprint(s: &LsrpState, neighbors: &[NodeId]) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        s.d.hash(&mut h);
+        s.p.hash(&mut h);
+        s.ghost.hash(&mut h);
+        for &k in neighbors {
+            k.hash(&mut h);
+            s.mirror(k).hash(&mut h);
+        }
+        h.finish()
+    }
+
+    pub fn enabled_actions(s: &LsrpState, timing: &TimingConfig, now_local: f64) -> EnabledSet {
+        let mut set = EnabledSet::none();
+        if mp(s) && s.p != s.id {
+            set.enable(ActionId::plain(actions::S1), 0.0);
+        }
+        for k in s2_set(s) {
+            set.enable_with_fingerprint(
+                ActionId::with_param(actions::S2, k),
+                timing.hd_s,
+                witness_fingerprint(s, &[k, s.p]),
+            );
+        }
+        if !s.ghost && (sp(s) || cw(s)) {
+            set.enable(ActionId::plain(actions::C1), timing.hd_c);
+        }
+        let ks: Vec<NodeId> = s.neighbors.keys().copied().collect();
+        // `C2`'s guard has no minimality scan; the production one is used.
+        if lsrp_core::predicates::c2_ready(s) {
+            set.enable_with_fingerprint(
+                ActionId::plain(actions::C2),
+                timing.hd_c2,
+                witness_fingerprint(s, &ks),
+            );
+        }
+        if s.ghost && scw(s) {
+            set.enable_with_fingerprint(
+                ActionId::plain(actions::SC),
+                timing.hd_sc,
+                witness_fingerprint(s, &ks),
+            );
+        }
+        if let Some(period) = timing.syn_period {
+            if s.t_last + period <= now_local || s.t_last > now_local {
+                set.enable(ActionId::plain(actions::SYN1), 0.0);
+            } else {
+                set.wake_at(s.t_last + period);
+            }
+        }
+        set
+    }
+}
+
+/// Node ids the generated states draw from; the node under test is `v0`.
+const POOL: u32 = 16;
+
+/// An arbitrary state of `v0`, drawn from `seed`: degree 0 to 12 with
+/// weights 1 to 3, each neighbor heard from or not, ghosted and child
+/// mirrors, infinite distances, a parent anywhere in the pool (a neighbor
+/// or not, `v0` itself included), any destination (`v0` included), and
+/// poisoned mirrors of non-neighbors — the parent's among them.
+fn arbitrary_state(seed: u64) -> LsrpState {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Biased toward v0, so children (`p.k.v = v`), self parents and the
+    // node being the destination all come up often.
+    let id = |rng: &mut StdRng| {
+        if rng.gen_bool(0.25) {
+            v(0)
+        } else {
+            v(rng.gen_range(0..POOL))
+        }
+    };
+    // A small range, so equal offers and ties are common.
+    let distance = |rng: &mut StdRng| {
+        if rng.gen_bool(0.2) {
+            Distance::Infinite
+        } else {
+            Distance::Finite(rng.gen_range(0..8))
+        }
+    };
+    let mirror = |rng: &mut StdRng| Mirror {
+        d: distance(rng),
+        p: id(rng),
+        ghost: rng.gen_bool(0.3),
+    };
+    let degree = rng.gen_range(0..=12);
+    let mut neighbors = std::collections::BTreeMap::new();
+    while neighbors.len() < degree {
+        neighbors.insert(v(rng.gen_range(1..POOL)), rng.gen_range(1..4));
+    }
+    let mut s = LsrpState::fresh(v(0), id(&mut rng), neighbors);
+    s.d = distance(&mut rng);
+    s.p = id(&mut rng);
+    s.ghost = rng.gen_bool(0.5);
+    for k in 0..POOL {
+        let k = v(k);
+        let heard = if s.is_neighbor(k) {
+            0.8
+        } else if k == s.p {
+            0.5
+        } else {
+            0.1
+        };
+        if rng.gen_bool(heard) {
+            s.mirrors.insert(k, mirror(&mut rng));
+        }
+    }
+    s
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+    /// Every guard read off the one-pass summary equals its literal
+    /// quadratic definition.
+    #[test]
+    fn one_pass_guards_match_the_literal_definitions(seed in 0u64..u64::MAX) {
+        let s = arbitrary_state(seed);
+        let g = Guards::new(&s);
+        prop_assert_eq!(g.sp(), oracle::sp(&s), "SP, seed {}", seed);
+        prop_assert_eq!(g.mp(), oracle::mp(&s), "MP, seed {}", seed);
+        prop_assert_eq!(g.cw(), oracle::cw(&s), "CW, seed {}", seed);
+        prop_assert_eq!(g.scw(), oracle::scw(&s), "SCW, seed {}", seed);
+        prop_assert_eq!(
+            g.best_parent_substitute(),
+            oracle::best_parent_substitute(&s),
+            "best PS, seed {}",
+            seed
+        );
+        for k in (0..POOL).map(v) {
+            prop_assert_eq!(g.sw(k), oracle::sw(&s, k), "SW.v.{}, seed {}", k, seed);
+            prop_assert_eq!(g.ps(k), oracle::ps(&s, k), "PS.v.{}, seed {}", k, seed);
+        }
+        let targets: Vec<(NodeId, Mirror)> = g.s2_targets().collect();
+        let expected: Vec<(NodeId, Mirror)> =
+            oracle::s2_set(&s).into_iter().map(|k| (k, s.mirror(k))).collect();
+        prop_assert_eq!(targets, expected, "S2 set, seed {}", seed);
+    }
+
+    /// `LsrpNode` enables the same actions, with the same holds,
+    /// fingerprints and wakeup, as the literal definitions.
+    #[test]
+    fn enabled_actions_match_the_literal_definitions(
+        seed in 0u64..u64::MAX,
+        t_last in 0.0f64..20.0,
+        now_local in 0.0f64..20.0,
+    ) {
+        let timing = TimingConfig::paper_example(1.0)
+            .with_strict_loop_freedom(1.0, 1.0)
+            .with_syn_period(5.0);
+        let mut s = arbitrary_state(seed);
+        s.t_last = t_last;
+        let expected = oracle::enabled_actions(&s, &timing, now_local);
+        let node = LsrpNode::new(s, timing);
+        prop_assert_eq!(node.enabled_actions(now_local), expected, "seed {}", seed);
     }
 }

@@ -16,8 +16,8 @@
 //! §15 gives the full determinism argument).
 //!
 //! Observability is split in two streams so the sink and route view stay
-//! strictly sequential: order-free tallies ([`CountOp`]) are applied
-//! unsorted at each barrier, while ordered records ([`ObsOp`]: actions,
+//! strictly sequential: order-free tallies (`CountOp`) are applied
+//! unsorted at each barrier, while ordered records (`ObsOp`: actions,
 //! variable changes, view updates, packet/flow completions) carry their
 //! originating `(time, key, seq)` and are sorted before application —
 //! reproducing exactly the order a single-queue engine would have
