@@ -63,13 +63,9 @@ pub fn forward_packet(
         if hops >= max_hops {
             return PacketFate::HopBudgetExceeded;
         }
-        let Some(entry) = table.entry(at) else {
+        let Some(next) = next_hop(table, graph, at) else {
             return PacketFate::BlackHoled { at };
         };
-        let next = entry.parent;
-        if next == at || entry.distance == Distance::Infinite || !graph.has_edge(at, next) {
-            return PacketFate::BlackHoled { at };
-        }
         if next == checkpoint {
             return PacketFate::Looped { cycle_len: lap + 1 };
         }
@@ -84,24 +80,70 @@ pub fn forward_packet(
     }
 }
 
+/// The hop a packet at `at` takes next, or `None` if it is dropped there:
+/// no entry, a self parent, an infinite distance, or no up edge to the
+/// parent. The one definition both [`forward_packet`] and
+/// [`availability`] forward by.
+fn next_hop(table: &RouteTable, graph: &Graph, at: NodeId) -> Option<NodeId> {
+    let entry = table.entry(at)?;
+    let next = entry.parent;
+    (next != at && entry.distance != Distance::Infinite && graph.has_edge(at, next)).then_some(next)
+}
+
+/// A node's packet fate while [`availability`] resolves it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    Unknown,
+    OnWalk,
+    Delivered,
+    Dropped,
+}
+
 /// The fraction of up nodes whose packet currently reaches the
 /// destination (the destination itself counts as delivered).
+///
+/// Equals the share of nodes for which [`forward_packet`] returns
+/// `Delivered` under any budget `>= n`, but settles each node once: next
+/// hops form a functional graph, so a walk stops at the first node whose
+/// fate is known and writes its verdict back along the walked path.
+/// Reaching a node on the current walk proves a cycle. O(n) table and
+/// edge lookups per call, against O(n · path length) for per-node walks.
 pub fn availability(table: &RouteTable, graph: &Graph, dest: NodeId) -> f64 {
-    let nodes: Vec<NodeId> = graph.nodes().collect();
-    if nodes.is_empty() {
+    let n = graph.node_count();
+    // Ids may be sparse; `nodes()` ascends, so the last one is the largest.
+    let Some(last) = graph.nodes().last() else {
         return 1.0;
+    };
+    let mut fate = vec![Fate::Unknown; last.raw() as usize + 1];
+    if let Some(f) = fate.get_mut(dest.raw() as usize) {
+        *f = Fate::Delivered;
     }
-    let max_hops = 4 * nodes.len();
-    let delivered = nodes
-        .iter()
-        .filter(|&&v| {
-            matches!(
-                forward_packet(table, graph, v, dest, max_hops),
-                PacketFate::Delivered { .. }
-            )
-        })
+    let mut walk = Vec::new();
+    for v in graph.nodes() {
+        let mut at = v;
+        // Every hop crosses an up edge, so `at` is always a graph node.
+        let verdict = loop {
+            match fate[at.raw() as usize] {
+                Fate::Unknown => {}
+                Fate::OnWalk => break Fate::Dropped,
+                known => break known,
+            }
+            fate[at.raw() as usize] = Fate::OnWalk;
+            walk.push(at);
+            match next_hop(table, graph, at) {
+                Some(next) => at = next,
+                None => break Fate::Dropped,
+            }
+        };
+        for u in walk.drain(..) {
+            fate[u.raw() as usize] = verdict;
+        }
+    }
+    let delivered = graph
+        .nodes()
+        .filter(|v| fate[v.raw() as usize] == Fate::Delivered)
         .count();
-    delivered as f64 / nodes.len() as f64
+    delivered as f64 / n as f64
 }
 
 /// Availability sampled through a recovery.
@@ -123,6 +165,14 @@ pub struct AvailabilityTrace {
 /// Steps `sim` until quiescence (or `horizon`), sampling forwarding-plane
 /// availability every `sample_every` simulated seconds. Call right after
 /// injecting a fault.
+///
+/// The first sample reads the table at the start time and the last reads
+/// it when stepping stops. In between, the sample at time `s` reads the
+/// table *after* the first event at or after `s` has been applied, so a
+/// sample can be one event late. All sample points that one step crosses
+/// share one evaluation of [`availability`]: the table cannot change
+/// between them. The cost is one O(n) evaluation per crossing step, not
+/// per sample.
 pub fn measure_availability<S: RoutingSimulation + ?Sized>(
     sim: &mut S,
     horizon: f64,
@@ -132,21 +182,22 @@ pub fn measure_availability<S: RoutingSimulation + ?Sized>(
     let dest = sim.destination();
     let mut samples = Vec::new();
     let mut next_sample = sim.now().seconds();
-    let take = |sim: &S, t: f64, samples: &mut Vec<(f64, f64)>| {
-        samples.push((t, availability(&sim.route_table(), sim.graph(), dest)));
-    };
-    take(sim, next_sample, &mut samples);
+    let avail = |sim: &S| availability(&sim.route_table(), sim.graph(), dest);
+    samples.push((next_sample, avail(sim)));
     next_sample += sample_every;
     while let Some(t) = sim.step() {
         if t.seconds() > horizon {
             break;
         }
-        while t.seconds() >= next_sample {
-            take(sim, next_sample, &mut samples);
-            next_sample += sample_every;
+        if t.seconds() >= next_sample {
+            let a = avail(sim);
+            while t.seconds() >= next_sample {
+                samples.push((next_sample, a));
+                next_sample += sample_every;
+            }
         }
     }
-    take(sim, sim.now().seconds(), &mut samples);
+    samples.push((sim.now().seconds(), avail(sim)));
     let min = samples.iter().map(|&(_, a)| a).fold(1.0, f64::min);
     let mean = samples.iter().map(|&(_, a)| a).sum::<f64>() / samples.len() as f64;
     let degraded_time = samples

@@ -10,6 +10,11 @@ use lsrp_scenario::{BuiltinRunner, ParamValue};
 
 use crate::{figures, loops_exp, multi_exp, overhead, selfstab, waves};
 
+/// Every id [`BenchRunner`] dispatches, in experiment order.
+pub const BUILTIN_IDS: &[&str] = &[
+    "e1", "e3", "e4", "e5", "e8", "e9", "e11", "e12", "e15", "e17", "e19",
+];
+
 /// Runs builtin experiment ids E1–E19 with scenario `[params]`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BenchRunner;
@@ -128,7 +133,8 @@ impl BuiltinRunner for BenchRunner {
             }
             other => {
                 return Err(format!(
-                    "unknown builtin experiment id '{other}' (the bench runner covers e1, e3, e4, e5, e7, e8, e9, e11, e12, e15, e17, e19)"
+                    "unknown builtin experiment id '{other}' (the bench runner covers {})",
+                    BUILTIN_IDS.join(", ")
                 ))
             }
         };
@@ -144,6 +150,28 @@ mod tests {
     fn unknown_id_is_an_error() {
         let err = BenchRunner.run("e99", &[]).unwrap_err();
         assert!(err.contains("e99"), "{err}");
+        for id in BUILTIN_IDS {
+            assert!(err.contains(&format!(" {id}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_listed_id_dispatches() {
+        // Every parameter any arm reads, mistyped: an arm with parameters
+        // fails its first read instead of running the experiment, and the
+        // parameter-free figure arms run (they are small).
+        let mistyped: Vec<(String, ParamValue)> = [
+            "sizes", "runs", "width", "loops", "widths", "ratios", "trees",
+        ]
+        .iter()
+        .map(|k| ((*k).to_string(), ParamValue::Bool(true)))
+        .collect();
+        for id in BUILTIN_IDS {
+            match BenchRunner.run(id, &mistyped) {
+                Ok(text) => assert!(!text.is_empty(), "{id}"),
+                Err(e) => assert!(e.starts_with("[params] "), "{id}: {e}"),
+            }
+        }
     }
 
     #[test]

@@ -403,7 +403,7 @@ pub struct HijackScenario {
 /// The `builtin` kind: a registered hand-coded experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BuiltinScenario {
-    /// Experiment id (e.g. `e7`), resolved by a
+    /// Experiment id (e.g. `e4`), resolved by a
     /// [`crate::exec::BuiltinRunner`].
     pub id: String,
     /// Free-form parameters passed through to the runner.
@@ -1610,7 +1610,7 @@ fn parse_builtin(root: &Table, seen: &mut Vec<&'static str>) -> Result<BuiltinSc
     let mut f = Fields::new("builtin", table);
     let Some((id, _)) = f.str("id")? else {
         return Err(format!(
-            "line {}: [builtin] needs an 'id' field (e.g. id = \"e7\")",
+            "line {}: [builtin] needs an 'id' field (e.g. id = \"e4\")",
             table.line
         ));
     };
